@@ -1,10 +1,10 @@
 (* Revised simplex with an explicit dense basis inverse.
 
-   The dense two-phase path materializes the full m x ncols tableau
-   and rewrites every cell on every pivot. For the placement LPs the
-   column count is dominated by slacks and artificials (ncols ≈ n +
-   2m), so the tableau costs ~2m² floats of memory and ~2m² flops per
-   pivot. This path keeps only:
+   The dense two-phase path materializes the full m x ncols tableau.
+   For the placement LPs the column count is dominated by slacks and
+   artificials (ncols ≈ n + 2m), so the tableau costs ~2m² floats of
+   memory; a dense pivot costs rows touched x pivot-row nonzeros (134
+   x 103 of 525 x 741 on the n=12 grid:3 LPs). This path keeps only:
 
      - the constraint matrix as immutable sparse columns (built once),
      - B⁻¹, a dense m x m matrix updated by product-form pivots,
@@ -12,9 +12,9 @@
 
    Per pivot: one BTRAN (y = c_B B⁻¹, m² flops, skipping zero basic
    costs), pricing over sparse columns (O(nnz)), one FTRAN
-   (w = B⁻¹ A_q, m·nnz_q flops), and an m² B⁻¹ update — roughly a
-   third of the dense work and half the memory, with the constraint
-   data itself never copied.
+   (w = B⁻¹ A_q, m·nnz_q flops), and a B⁻¹ update over the rows with
+   w_i ≠ 0 and the pivot row's nonzeros — about half the dense
+   memory, with the constraint data itself never copied.
 
    Pivot rules, tolerances, stall→Bland switch, pivot budget, warm
    crash and deadline semantics mirror Simplex's dense path so the two
@@ -50,6 +50,9 @@ type state = {
   xb : float array; (* current basic values, B⁻¹ b *)
   basis : int array; (* row -> basic column *)
   in_basis : bool array; (* column -> basic? *)
+  nz : int array; (* columns of the last B⁻¹ pivot row's nonzeros *)
+  mutable nnz_sum : int; (* pivot-row nonzeros summed over all pivots *)
+  mutable n_pivots : int;
 }
 
 let budget_exceeded max_pivots =
@@ -89,21 +92,35 @@ let reduced_cost st cost y j =
   !r
 
 (* Product-form pivot: basis row [row] leaves, column [col] enters,
-   with [w] = B⁻¹ A_col already computed. Updates binv, xb, basis. *)
+   with [w] = B⁻¹ A_col already computed. Updates binv, xb, basis.
+   Like the dense tableau pivot, B⁻¹'s pivot row is scaled at its
+   nonzeros only and the other rows are updated only in those columns:
+   each skipped term is an exact [a -. f *. 0.]. *)
 let apply_pivot st ~row ~col w =
   let p = w.(row) in
   let inv = 1. /. p in
   let brow = st.binv.(row) in
+  let nz = st.nz in
+  let nnz = ref 0 in
   for k = 0 to st.m - 1 do
-    brow.(k) <- brow.(k) *. inv
+    let v = brow.(k) in
+    if v <> 0. then begin
+      brow.(k) <- v *. inv;
+      nz.(!nnz) <- k;
+      incr nnz
+    end
   done;
+  let nnz = !nnz in
+  st.nnz_sum <- st.nnz_sum + nnz;
+  st.n_pivots <- st.n_pivots + 1;
   st.xb.(row) <- st.xb.(row) *. inv;
   for i = 0 to st.m - 1 do
     if i <> row then begin
       let f = w.(i) in
       if Float.abs f > eps_zero then begin
         let bi = st.binv.(i) in
-        for k = 0 to st.m - 1 do
+        for q = 0 to nnz - 1 do
+          let k = nz.(q) in
           bi.(k) <- bi.(k) -. (f *. brow.(k))
         done;
         st.xb.(i) <- st.xb.(i) -. (f *. st.xb.(row));
@@ -213,8 +230,8 @@ let normalize rows =
       if rhs < 0. then
         let terms = List.map (fun (v, c) -> (v, -.c)) terms in
         let cmp = match cmp with Lp.Le -> Lp.Ge | Lp.Ge -> Lp.Le | Lp.Eq -> Lp.Eq in
-        (terms, cmp, -.rhs)
-      else (terms, cmp, rhs))
+        (terms, cmp, -.rhs, -1.)
+      else (terms, cmp, rhs, 1.))
     rows
 
 let build lp =
@@ -223,18 +240,13 @@ let build lp =
   let m = List.length rows in
   let normalized = normalize rows in
   let n_slack =
-    List.length (List.filter (fun (_, c, _) -> c <> Lp.Eq) normalized)
+    List.length (List.filter (fun (_, c, _, _) -> c <> Lp.Eq) normalized)
   in
   let n_artificial =
-    List.length (List.filter (fun (_, c, _) -> c <> Lp.Le) normalized)
+    List.length (List.filter (fun (_, c, _, _) -> c <> Lp.Le) normalized)
   in
   let ncols = n + n_slack + n_artificial in
   let first_artificial = n + n_slack in
-  let flipped =
-    List.map2
-      (fun { Lp.rhs; _ } (_, _, rhs') -> rhs < 0. && rhs' > 0.)
-      rows normalized
-  in
   let cols_acc : (int * float) list array = Array.make ncols [] in
   let b = Array.make m 0. in
   let init_basis = Array.make m (-1) in
@@ -242,8 +254,7 @@ let build lp =
   let slack_idx = ref n in
   let art_idx = ref first_artificial in
   List.iteri
-    (fun i (terms, cmp, rhs) ->
-      let flip_factor = if List.nth flipped i then -1. else 1. in
+    (fun i (terms, cmp, rhs, flip_factor) ->
       (* Duplicate variable mentions in a row are summed, as in the
          dense tableau build. *)
       let row_coeffs = Hashtbl.create (List.length terms) in
@@ -294,6 +305,9 @@ let build lp =
         (let f = Array.make ncols false in
          Array.iter (fun c -> f.(c) <- true) init_basis;
          f);
+      nz = Array.make m 0;
+      nnz_sum = 0;
+      n_pivots = 0;
     }
   in
   (st, row_dual, n_artificial)
@@ -367,7 +381,12 @@ let solve ?warm ~max_pivots lp =
             (st1, false))
     | _ -> (st0, false)
   in
-  let finish r = (r, !total_pivots, warm_used) in
+  let finish r =
+    let row_nnz =
+      if st.n_pivots = 0 then 0. else float_of_int st.nnz_sum /. float_of_int st.n_pivots
+    in
+    (r, !total_pivots, warm_used, row_nnz)
+  in
   (* Phase 1: minimize the sum of artificials. Skipped when the crash
      basis already reached a primal-feasible start. *)
   (if n_artificial > 0 && not warm_used then begin

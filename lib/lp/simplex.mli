@@ -5,11 +5,17 @@
     cycling, and a phase-1 artificial-variable start. Two storage
     paths sit behind {!solve}: the historical dense tableau, and a
     {!Revised} path (sparse columns + explicit basis inverse) that
-    avoids materializing the tableau. {!solve} auto-selects by problem
-    shape — dense below [m * ncols = 8e6] cells, revised above — so
-    seed-size LPs keep their historical pivot sequences bit-for-bit
-    while large instances stop paying O(m·ncols) per pivot
-    (DESIGN.md §15, "Scaling the solve core"). *)
+    avoids materializing the tableau. Both update only the rows with
+    a nonzero in the entering column, and in those only the pivot
+    row's nonzero columns: a pivot costs rows touched x pivot-row
+    nonzeros, not m x ncols (134 x 103 of 525 x 741 on the n=12
+    grid:3 placement LPs). {!solve} auto-selects by problem shape —
+    dense below [m * ncols = 8e6] cells, revised above — so seed-size
+    LPs keep their historical pivot sequences bit-for-bit while large
+    instances stop allocating m x ncols cells (DESIGN.md §15,
+    "Scaling the solve core"). The [simplex] trace span reports
+    [rows], [vars], [pivots], [path] and [row_nnz], the mean number
+    of nonzeros in the pivot rows. *)
 
 type outcome =
   | Optimal of { x : float array; objective : float }

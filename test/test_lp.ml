@@ -359,6 +359,44 @@ let prop_certificates_verify =
       | Simplex.C_unbounded -> true
       | Simplex.Certified c -> Simplex.check_certificate lp c)
 
+(* The [simplex] span reports the mean pivot-row density next to its
+   pivot count. One row [x0 + x1 >= 1] (min x0 + 2 x1) takes a single
+   phase-1 pivot on x0: the dense tableau row [1 1 -1 1] has 4
+   nonzeros, the revised path's 1 x 1 B⁻¹ row has 1. *)
+let test_span_row_nnz () =
+  let module Json = Qp_obs.Json in
+  let simplex_attrs path =
+    let lp = Lp.create 2 in
+    Lp.set_objective lp 0 1.;
+    Lp.set_objective lp 1 2.;
+    Lp.add_constraint lp [ (0, 1.); (1, 1.) ] Lp.Ge 1.;
+    let sink, read = Qp_obs.Trace.memory () in
+    Fun.protect
+      ~finally:(fun () ->
+        Qp_obs.Trace.uninstall ();
+        Simplex.set_forced_path None)
+      (fun () ->
+        Qp_obs.Trace.install sink;
+        Simplex.set_forced_path (Some path);
+        ignore (solve_opt lp));
+    match
+      List.filter (fun r -> Json.member "name" r = Some (Json.String "simplex")) (read ())
+    with
+    | [ span ] -> Option.get (Json.member "attrs" span)
+    | l -> Alcotest.failf "expected one simplex span, got %d" (List.length l)
+  in
+  let num key attrs =
+    match Option.bind (Json.member key attrs) Json.to_float with
+    | Some v -> v
+    | None -> Alcotest.failf "missing %s in %s" key (Json.to_string attrs)
+  in
+  let dense = simplex_attrs Simplex.Dense in
+  Alcotest.(check (float 0.)) "dense pivots" 1. (num "pivots" dense);
+  Alcotest.(check (float 0.)) "dense row_nnz" 4. (num "row_nnz" dense);
+  let revised = simplex_attrs Simplex.Revised in
+  Alcotest.(check (float 0.)) "revised pivots" 1. (num "pivots" revised);
+  Alcotest.(check (float 0.)) "revised row_nnz" 1. (num "row_nnz" revised)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -387,6 +425,7 @@ let suites =
         Alcotest.test_case "transportation" `Quick test_transportation;
         Alcotest.test_case "beale anti-cycling" `Quick test_beale_cycling;
         Alcotest.test_case "warm re-solve of identical LP" `Quick test_warm_identity;
+        Alcotest.test_case "span reports row_nnz" `Quick test_span_row_nnz;
       ] );
     ( "lp.duality",
       [
