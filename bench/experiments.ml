@@ -1434,9 +1434,14 @@ let e19 () =
      the LP pipeline on the same instance. Best-of-3 for the fast side
      (scheduler noise dominates millisecond runs); one LP run suffices,
      it is the slow side by orders of magnitude. The CI gate compares
-     deterministic work counters — simplex pivots across the LP's
-     candidate sweep vs branch-and-bound nodes — because wall-clock
-     ratios flake on shared runners; the wall speedup stays as an
+     deterministic work in one inner-loop unit, because wall-clock
+     ratios flake on shared runners: on the LP side the simplex cell
+     updates of the whole candidate sweep (tableau cells written by
+     builds, restores and pivots, plus reduced-cost cells); on the
+     tree side search nodes x hosts, each node scanning at most every
+     host. Pivots no longer measure LP work once phase 1 is shared
+     (one pivot then stands for a restore of the whole tableau too),
+     so they are printed but not gated. The wall speedup stays as an
      informational line. *)
   let spec_h2h = tree_spec ~nodes:24 ~system:"grid:2" ~seed:192 in
   let p_h2h = build spec_h2h in
@@ -1449,44 +1454,45 @@ let e19 () =
     done;
     (Option.get !last, !best)
   in
-  (* Pivot count under a scoped registry: pool workers merge their
-     series back into it, so the sum covers every candidate-source LP
-     and nothing else. *)
-  let pivots_of f =
+  (* Simplex counters under a scoped registry: pool workers merge
+     their series back into it, so the sums cover every
+     candidate-source LP and nothing else. *)
+  let simplex_work_of f =
     let reg = Qp_obs.Metrics.create ~enabled:true () in
     let r = Qp_obs.Metrics.with_current reg f in
-    let p =
-      Option.value ~default:0.
-        (List.assoc_opt "qp_simplex_pivots_total"
-           (Qp_obs.Metrics.scalar_series reg))
+    let get name =
+      int_of_float
+        (Option.value ~default:0.
+           (List.assoc_opt name (Qp_obs.Metrics.scalar_series reg)))
     in
-    (r, int_of_float p)
+    (r, get "qp_simplex_pivots_total", get "qp_simplex_cell_updates_total")
   in
-  let (lp_h2h, lp_pivots), lp_wall =
-    time (fun () -> pivots_of (fun () -> solve_with "lp" spec_h2h p_h2h))
+  let (lp_h2h, lp_pivots, lp_cells), lp_wall =
+    time (fun () -> simplex_work_of (fun () -> solve_with "lp" spec_h2h p_h2h))
   in
   let tree_nodes =
     match Outcome.detail auto_h2h "search_nodes" with
     | Some v -> int_of_float v
-    | None -> max_int (* not the tree solver: fail the work gate *)
+    | None -> max_int / 1024 (* not the tree solver: fail the work gate *)
   in
+  let tree_cells = tree_nodes * spec_h2h.Spec.nodes in
   let speedup = lp_wall /. Float.max 1e-9 auto_wall in
-  let auto_work_10x = lp_pivots >= 10 * tree_nodes in
+  let auto_work_10x = lp_cells >= 10 * tree_cells in
   let tbl2 =
     Table.create ~title:"auto vs lp at equal size (tree, n=24, grid:2)"
       [ ("alg", Table.Left); ("dispatched", Table.Left);
         ("objective", Table.Right); ("wall s", Table.Right);
         ("work", Table.Right) ]
   in
-  Table.add_rowf tbl2 "auto|%s|%.6f|%.4f|%d nodes" auto_h2h.Outcome.solver
-    auto_h2h.Outcome.objective auto_wall tree_nodes;
-  Table.add_rowf tbl2 "lp|%s|%.6f|%.4f|%d pivots" lp_h2h.Outcome.solver
-    lp_h2h.Outcome.objective lp_wall lp_pivots;
+  Table.add_rowf tbl2 "auto|%s|%.6f|%.4f|%d nodes x %d hosts" auto_h2h.Outcome.solver
+    auto_h2h.Outcome.objective auto_wall tree_nodes spec_h2h.Spec.nodes;
+  Table.add_rowf tbl2 "lp|%s|%.6f|%.4f|%d cells (%d pivots)" lp_h2h.Outcome.solver
+    lp_h2h.Outcome.objective lp_wall lp_cells lp_pivots;
   Table.print tbl2;
   Printf.printf
-    "\nhead-to-head: %d lp pivots vs %d tree search nodes; wall speedup \
-     %.1fx (informational, auto best-of-3 vs one lp run)\n"
-    lp_pivots tree_nodes speedup;
+    "\nhead-to-head: %d lp simplex cell updates vs %d tree node-host scans; \
+     wall speedup %.1fx (informational, auto best-of-3 vs one lp run)\n"
+    lp_cells tree_cells speedup;
   (* Part 3 - scaling series: double n under a wall budget. The floor
      of 480 (10x the largest default-suite instance, E18's n=48) always
      runs; beyond it a cell is attempted only while its projected cost

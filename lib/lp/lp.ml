@@ -61,11 +61,13 @@ let is_feasible ?(tol = 1e-7) t x =
          | Eq -> Float.abs (lhs -. rhs) <= tol *. slack_scale)
        t.rows
 
-let objective_value t x =
+let dot c x =
   let acc = ref 0. in
-  for v = 0 to t.n - 1 do
-    acc := !acc +. (t.obj.(v) *. x.(v))
+  for v = 0 to Array.length c - 1 do
+    acc := !acc +. (c.(v) *. x.(v))
   done;
   !acc
+
+let objective_value t x = dot t.obj x
 
 let pp ppf t = Format.fprintf ppf "lp(vars=%d, rows=%d)" t.n t.n_rows

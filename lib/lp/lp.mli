@@ -45,4 +45,9 @@ val is_feasible : ?tol:float -> t -> float array -> bool
 
 val objective_value : t -> float array -> float
 
+val dot : float array -> float array -> float
+(** [dot c x] sums [c.(v) *. x.(v)] in index order over [c] — the
+    summation {!objective_value} uses, for objectives held outside
+    the model. *)
+
 val pp : Format.formatter -> t -> unit

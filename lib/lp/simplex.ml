@@ -45,18 +45,40 @@ let eps_zero = 1e-11
 
 (* Mutable tableau kept in canonical form: basis columns are unit
    vectors, [b] is non-negative, [basis.(i)] names the basic variable
-   of row i. *)
+   of row i. Rows live off-heap (see [Rows]); [a] may hold more rows
+   than the active prefix [m]. *)
 type tableau = {
   mutable m : int; (* active rows *)
   ncols : int;
-  a : float array array; (* m x ncols *)
+  a : Rows.row array; (* m x ncols *)
   b : float array;
   basis : int array;
   nz : int array; (* columns of the last pivot row's nonzeros *)
   mutable nnz : int; (* live prefix of [nz] *)
   mutable nnz_sum : int; (* pivot-row nonzeros summed over all pivots *)
   mutable n_pivots : int;
+  mutable cells : int; (* cell updates, see simplex.mli *)
 }
+
+let new_tableau ~rows ~ncols =
+  {
+    m = rows;
+    ncols;
+    a = Array.init rows (fun _ -> Rows.make ncols);
+    b = Array.make rows 0.;
+    basis = Array.make rows (-1);
+    nz = Array.make ncols 0;
+    nnz = 0;
+    nnz_sum = 0;
+    n_pivots = 0;
+    cells = 0;
+  }
+
+(* Unchecked row access for the inner loops: every index is a column
+   below [ncols], the width of every row. A checked Bigarray access
+   reloads the row's dimension on each cell. *)
+let[@inline] ( .!{} ) (r : Rows.row) j = Bigarray.Array1.unsafe_get r j
+let[@inline] ( .!{}<- ) (r : Rows.row) j v = Bigarray.Array1.unsafe_set r j v
 
 (* The pivot row is scaled at its nonzeros only, and their columns are
    recorded in [t.nz]; every other row (and, in
@@ -67,14 +89,14 @@ type tableau = {
    x pivot-row nonzeros instead of m x ncols. *)
 let pivot t ~row ~col =
   let arow = t.a.(row) in
-  let p = arow.(col) in
+  let p = arow.{col} in
   let inv = 1. /. p in
   let nz = t.nz in
   let k = ref 0 in
   for j = 0 to t.ncols - 1 do
-    let v = arow.(j) in
+    let v = arow.!{j} in
     if v <> 0. then begin
-      arow.(j) <- v *. inv;
+      arow.!{j} <- v *. inv;
       nz.(!k) <- j;
       incr k
     end
@@ -83,23 +105,26 @@ let pivot t ~row ~col =
   t.nnz <- nnz;
   t.nnz_sum <- t.nnz_sum + nnz;
   t.n_pivots <- t.n_pivots + 1;
-  arow.(col) <- 1.;
+  arow.{col} <- 1.;
   t.b.(row) <- t.b.(row) *. inv;
+  let touched = ref 1 in
   for i = 0 to t.m - 1 do
     if i <> row then begin
-      let f = t.a.(i).(col) in
+      let ai = t.a.(i) in
+      let f = ai.!{col} in
       if Float.abs f > eps_zero then begin
-        let ai = t.a.(i) in
+        incr touched;
         for q = 0 to nnz - 1 do
           let j = nz.(q) in
-          ai.(j) <- ai.(j) -. (f *. arow.(j))
+          ai.!{j} <- ai.!{j} -. (f *. arow.!{j})
         done;
-        ai.(col) <- 0.;
+        ai.{col} <- 0.;
         t.b.(i) <- t.b.(i) -. (f *. t.b.(row));
         if t.b.(i) < 0. && t.b.(i) > -1e-11 then t.b.(i) <- 0.
       end
     end
   done;
+  t.cells <- t.cells + (!touched * nnz);
   t.basis.(row) <- col
 
 (* Reduced costs r_j = c_j - sum_i c_B(i) * T(i,j), and the objective
@@ -107,16 +132,19 @@ let pivot t ~row ~col =
 let reduced_costs t cost =
   let r = Array.copy cost in
   let z = ref 0. in
+  let rows = ref 1 in
   for i = 0 to t.m - 1 do
     let cb = cost.(t.basis.(i)) in
     if cb <> 0. then begin
+      incr rows;
       z := !z +. (cb *. t.b.(i));
       let ai = t.a.(i) in
       for j = 0 to t.ncols - 1 do
-        r.(j) <- r.(j) -. (cb *. ai.(j))
+        r.(j) <- r.(j) -. (cb *. ai.!{j})
       done
     end
   done;
+  t.cells <- t.cells + (!rows * t.ncols);
   (r, !z)
 
 (* Update the reduced-cost row after a pivot on (row, col): r gets
@@ -128,9 +156,10 @@ let update_reduced_costs t r ~row ~col =
     let arow = t.a.(row) in
     for q = 0 to t.nnz - 1 do
       let j = t.nz.(q) in
-      r.(j) <- r.(j) -. (f *. arow.(j))
+      r.(j) <- r.(j) -. (f *. arow.!{j})
     done;
-    r.(col) <- 0.
+    r.(col) <- 0.;
+    t.cells <- t.cells + t.nnz
   end
 
 type phase_result = Phase_optimal | Phase_unbounded
@@ -176,7 +205,7 @@ let optimize t cost ~allowed ~max_pivots =
       let row = ref (-1) in
       let best_ratio = ref infinity in
       for i = 0 to t.m - 1 do
-        let aij = t.a.(i).(col) in
+        let aij = t.a.(i).!{col} in
         if aij > eps_piv then begin
           let ratio = t.b.(i) /. aij in
           if
@@ -231,8 +260,8 @@ type basis = int array
    tableau: each warm column is pivoted in on the unclaimed row where
    it has the largest magnitude. If the resulting basic solution is
    primal-feasible (b >= -1e-7, no artificial carrying weight), phase 1
-   can be skipped entirely. Mutates [t]; on failure the caller must
-   rebuild the tableau. Returns [Some crash_pivots] on success. *)
+   can be skipped entirely. Mutates [t]. Returns [Some crash_pivots] on
+   success. *)
 let try_crash_basis t ~first_artificial (warm : basis) =
   let claimed = Array.make t.m false in
   let crash_pivots = ref 0 in
@@ -249,7 +278,7 @@ let try_crash_basis t ~first_artificial (warm : basis) =
           let best_mag = ref 1e-7 in
           for i = 0 to t.m - 1 do
             if not claimed.(i) then begin
-              let mag = Float.abs t.a.(i).(c) in
+              let mag = Float.abs t.a.(i).{c} in
               if mag > !best_mag then begin
                 best := i;
                 best_mag := mag
@@ -278,226 +307,374 @@ let try_crash_basis t ~first_artificial (warm : basis) =
   end
   else None
 
-(* Internal driver shared by [solve], [solve_certified] and
-   [solve_warm]. Tracks, per original row, the unit column (slack /
-   surplus / artificial) whose phase-2 reduced cost encodes the row's
-   dual multiplier, and the sign mapping back to the original
-   (pre-normalization) orientation. Returns the outcome plus, on
-   optimality, the final basis for warm-starting a nearby LP. *)
-let solve_internal ?max_pivots ?warm lp =
-  check_deadline ();
+(* ------------------------------------------------------------------ *)
+(* The dense path: rows, phase 1 once, phase 2 per objective           *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything fixed by the rows. Per original row, [row_dual] names
+   the unit column (slack / surplus / artificial) whose phase-2
+   reduced cost encodes the row's dual multiplier, and the factor
+   mapping it back to the original (pre-normalization) orientation: a
+   slack/artificial column e_i gives r = -y_i (factor -1); a surplus
+   column -e_i gives r = +y_i (factor +1); a row negated during
+   normalization flips the factor. *)
+type layout = {
+  lp : Lp.t;
+  n : int;
+  m : int;
+  ncols : int;
+  first_artificial : int;
+  n_artificial : int;
+  normalized : ((int * float) list * Lp.cmp * float * float) list;
+  row_dual : (int * float) array;
+}
+
+let layout lp =
   let n = Lp.n_vars lp in
-  let rows = Lp.constraints lp in
-  let m = List.length rows in
-  let solves_c =
-    Obs.Metrics.counter ~help:"Two-phase simplex invocations" (Obs.Metrics.current ())
-      "qp_simplex_solves_total"
-  in
-  let pivots_c =
-    Obs.Metrics.counter ~help:"Simplex pivots across both phases" (Obs.Metrics.current ())
-      "qp_simplex_pivots_total"
-  in
-  let warm_attempts_c =
-    Obs.Metrics.counter ~help:"Simplex warm-start attempts" (Obs.Metrics.current ())
-      "qp_simplex_warm_attempts_total"
-  in
-  let warm_used_c =
-    Obs.Metrics.counter
-      ~help:"Simplex solves where the crash basis skipped phase 1"
-      (Obs.Metrics.current ()) "qp_simplex_warm_used_total"
-  in
-  Obs.Metrics.inc solves_c;
-  let total_pivots = ref 0 in
-  let count_pivots k = total_pivots := !total_pivots + k in
-  Obs.Span.with_ "simplex"
-    ~attrs:[ ("vars", Obs.Json.Int n); ("rows", Obs.Json.Int m) ]
-  @@ fun () ->
-  let finish_with ~row_nnz outcome =
-    Obs.Metrics.add pivots_c (float_of_int !total_pivots);
-    Obs.Span.add_attr "pivots" (Obs.Json.Int !total_pivots);
-    Obs.Span.add_attr "row_nnz" (Obs.Json.Float row_nnz);
-    outcome
-  in
-  let max_pivots =
-    match max_pivots with Some v -> v | None -> 50_000 + (50 * (m + n))
-  in
-  (* Normalize rows to non-negative rhs and count extra columns. *)
-  let normalized = Revised.normalize rows in
+  let normalized = Revised.normalize (Lp.constraints lp) in
+  let m = List.length normalized in
   let n_slack =
     List.length (List.filter (fun (_, c, _, _) -> c <> Lp.Eq) normalized)
   in
   let n_artificial =
     List.length (List.filter (fun (_, c, _, _) -> c <> Lp.Le) normalized)
   in
-  let ncols = n + n_slack + n_artificial in
-  let path = choose_path ~m ~ncols in
-  Atomic.set last_path_v path;
-  Obs.Span.add_attr "path"
-    (Obs.Json.String (match path with Dense -> "dense" | Revised -> "revised"));
-  match path with
-  | Revised -> (
-      let result, pivots, warm_used, row_nnz = Revised.solve ?warm ~max_pivots lp in
-      (match warm with
-      | Some wb when Array.length wb > 0 ->
-          Obs.Metrics.inc warm_attempts_c;
-          if warm_used then Obs.Metrics.inc warm_used_c
-      | _ -> ());
-      count_pivots pivots;
-      let finish = finish_with ~row_nnz in
-      match result with
-      | Revised.R_infeasible -> (finish C_infeasible, None)
-      | Revised.R_unbounded -> (finish C_unbounded, None)
-      | Revised.R_optimal { x; objective; duals; basis } ->
-          (finish (Certified { x; objective; duals }), Some basis))
-  | Dense ->
   let first_artificial = n + n_slack in
-  (* Tableau construction is a function because a failed warm-start
-     crash leaves the tableau mutated and the cold path needs a fresh
-     one. *)
-  let build () =
-    let a = Array.init m (fun _ -> Array.make ncols 0.) in
-    let b = Array.make m 0. in
-    let basis = Array.make m (-1) in
-    let slack_idx = ref n in
-    let art_idx = ref first_artificial in
-    (* (unit column, factor): original dual = factor * reduced_cost(col)
-       under the phase-2 objective. A slack/artificial column e_i gives
-       r = -y_i (factor -1); a surplus column -e_i gives r = +y_i
-       (factor +1). A row negated during normalization flips the
-       factor. *)
-    let row_dual = Array.make m (0, 0.) in
-    List.iteri
-      (fun i (terms, cmp, rhs, flip_factor) ->
-        List.iter (fun (v, c) -> a.(i).(v) <- a.(i).(v) +. c) terms;
-        b.(i) <- rhs;
-        (match cmp with
-        | Lp.Le ->
-            a.(i).(!slack_idx) <- 1.;
-            basis.(i) <- !slack_idx;
-            row_dual.(i) <- (!slack_idx, -1. *. flip_factor);
-            incr slack_idx
-        | Lp.Ge ->
-            a.(i).(!slack_idx) <- -1.;
-            row_dual.(i) <- (!slack_idx, 1. *. flip_factor);
-            incr slack_idx;
-            a.(i).(!art_idx) <- 1.;
-            basis.(i) <- !art_idx;
-            incr art_idx
-        | Lp.Eq ->
-            a.(i).(!art_idx) <- 1.;
-            basis.(i) <- !art_idx;
-            row_dual.(i) <- (!art_idx, -1. *. flip_factor);
-            incr art_idx))
-      normalized;
-    ( { m; ncols; a; b; basis; nz = Array.make ncols 0; nnz = 0; nnz_sum = 0; n_pivots = 0 },
-      row_dual )
-  in
-  let t0, row_dual0 = build () in
-  let t, row_dual, warm_ok =
-    match warm with
-    | Some wb when Array.length wb > 0 ->
-        Obs.Metrics.inc warm_attempts_c;
-        (match try_crash_basis t0 ~first_artificial wb with
-        | Some crash_pivots ->
-            Obs.Metrics.inc warm_used_c;
-            count_pivots crash_pivots;
-            (t0, row_dual0, true)
-        | None ->
-            let t1, row_dual1 = build () in
-            (t1, row_dual1, false))
-    | _ -> (t0, row_dual0, false)
-  in
-  let finish outcome =
-    let row_nnz =
-      if t.n_pivots = 0 then 0. else float_of_int t.nnz_sum /. float_of_int t.n_pivots
-    in
-    finish_with ~row_nnz outcome
-  in
-  (* Phase 1: minimize the sum of artificials. Skipped when the crash
-     basis already reached a primal-feasible start. *)
-  (if n_artificial > 0 && not warm_ok then begin
-     let cost1 = Array.make ncols 0. in
-     for j = first_artificial to ncols - 1 do
-       cost1.(j) <- 1.
-     done;
-     match optimize t cost1 ~allowed:(fun _ -> true) ~max_pivots with
-     | Phase_unbounded, _ -> assert false (* phase-1 objective bounded below by 0 *)
-     | Phase_optimal, k -> count_pivots k
-   end);
-  let phase1_value =
-    let v = ref 0. in
-    for i = 0 to t.m - 1 do
-      if t.basis.(i) >= first_artificial then v := !v +. t.b.(i)
-    done;
-    !v
-  in
-  if n_artificial > 0 && (not warm_ok) && phase1_value > 1e-7 then
-    (finish C_infeasible, None)
-  else begin
-    (* Drive any residual artificial out of the basis; rows where that
-       is impossible are redundant and are dropped. *)
-    let keep = Array.make t.m true in
-    for i = 0 to t.m - 1 do
-      if t.basis.(i) >= first_artificial then begin
-        let found = ref false in
-        let j = ref 0 in
-        while (not !found) && !j < first_artificial do
-          if Float.abs t.a.(i).(!j) > 1e-7 then begin
-            pivot t ~row:i ~col:!j;
-            found := true
-          end;
-          incr j
-        done;
-        if not !found then keep.(i) <- false
-      end
-    done;
-    (* Compact dropped rows. *)
-    let dst = ref 0 in
-    for i = 0 to t.m - 1 do
-      if keep.(i) then begin
-        if !dst <> i then begin
-          t.a.(!dst) <- t.a.(i);
-          t.b.(!dst) <- t.b.(i);
-          t.basis.(!dst) <- t.basis.(i)
+  let row_dual = Array.make m (0, 0.) in
+  let slack_idx = ref n and art_idx = ref first_artificial in
+  List.iteri
+    (fun i (_, cmp, _, flip_factor) ->
+      match cmp with
+      | Lp.Le ->
+          row_dual.(i) <- (!slack_idx, -1. *. flip_factor);
+          incr slack_idx
+      | Lp.Ge ->
+          row_dual.(i) <- (!slack_idx, 1. *. flip_factor);
+          incr slack_idx;
+          incr art_idx
+      | Lp.Eq ->
+          row_dual.(i) <- (!art_idx, -1. *. flip_factor);
+          incr art_idx)
+    normalized;
+  { lp; n; m; ncols = first_artificial + n_artificial; first_artificial;
+    n_artificial; normalized; row_dual }
+
+(* Write the slack/artificial starting tableau into a fresh
+   (zero-filled) tableau of [m] rows. *)
+let fill_initial ly (t : tableau) =
+  let slack_idx = ref ly.n in
+  let art_idx = ref ly.first_artificial in
+  List.iteri
+    (fun i (terms, cmp, rhs, _) ->
+      let ai = t.a.(i) in
+      List.iter (fun (v, c) -> ai.{v} <- ai.{v} +. c) terms;
+      t.b.(i) <- rhs;
+      match cmp with
+      | Lp.Le ->
+          ai.{!slack_idx} <- 1.;
+          t.basis.(i) <- !slack_idx;
+          incr slack_idx
+      | Lp.Ge ->
+          ai.{!slack_idx} <- -1.;
+          incr slack_idx;
+          ai.{!art_idx} <- 1.;
+          t.basis.(i) <- !art_idx;
+          incr art_idx
+      | Lp.Eq ->
+          ai.{!art_idx} <- 1.;
+          t.basis.(i) <- !art_idx;
+          incr art_idx)
+    ly.normalized;
+  t.cells <- t.cells + (ly.m * ly.ncols)
+
+(* Drive any residual artificial out of the basis; rows where that is
+   impossible are redundant and are dropped (swapped past the active
+   prefix, so every row buffer stays distinct). *)
+let drive_out_and_compact ly (t : tableau) =
+  let keep = Array.make t.m true in
+  for i = 0 to t.m - 1 do
+    if t.basis.(i) >= ly.first_artificial then begin
+      let found = ref false in
+      let j = ref 0 in
+      while (not !found) && !j < ly.first_artificial do
+        if Float.abs t.a.(i).{!j} > 1e-7 then begin
+          pivot t ~row:i ~col:!j;
+          found := true
         end;
-        incr dst
-      end
-    done;
-    t.m <- !dst;
-    (* Phase 2. *)
-    let cost2 = Array.make ncols 0. in
-    let obj = Lp.objective lp in
-    Array.blit obj 0 cost2 0 n;
-    let allowed j = j < first_artificial in
-    match optimize t cost2 ~allowed ~max_pivots with
-    | Phase_unbounded, k ->
-        count_pivots k;
-        (finish C_unbounded, None)
-    | Phase_optimal, k ->
-        count_pivots k;
-        let x = Array.make n 0. in
-        for i = 0 to t.m - 1 do
-          if t.basis.(i) < n then x.(t.basis.(i)) <- t.b.(i)
-        done;
-        (* Clean tiny negatives from roundoff. *)
-        Array.iteri (fun i xi -> if xi < 0. && xi > -1e-9 then x.(i) <- 0.) x;
-        let objective = Lp.objective_value lp x in
-        assert (Lp.is_feasible ~tol:1e-6 lp x);
-        let r, _ = reduced_costs t cost2 in
-        let duals = Array.map (fun (col, factor) -> factor *. r.(col)) row_dual in
-        (finish (Certified { x; objective; duals }), Some (Array.sub t.basis 0 t.m))
+        incr j
+      done;
+      if not !found then keep.(i) <- false
+    end
+  done;
+  let dst = ref 0 in
+  for i = 0 to t.m - 1 do
+    if keep.(i) then begin
+      if !dst <> i then begin
+        let row = t.a.(!dst) in
+        t.a.(!dst) <- t.a.(i);
+        t.a.(i) <- row;
+        t.b.(!dst) <- t.b.(i);
+        t.basis.(!dst) <- t.basis.(i)
+      end;
+      incr dst
+    end
+  done;
+  t.m <- !dst
+
+let phase2 ly (t : tableau) ~objective ~max_pivots =
+  let cost2 = Array.make ly.ncols 0. in
+  Array.blit objective 0 cost2 0 ly.n;
+  let allowed j = j < ly.first_artificial in
+  match optimize t cost2 ~allowed ~max_pivots with
+  | Phase_unbounded, k -> ((C_unbounded, None), k)
+  | Phase_optimal, k ->
+      let x = Array.make ly.n 0. in
+      for i = 0 to t.m - 1 do
+        if t.basis.(i) < ly.n then x.(t.basis.(i)) <- t.b.(i)
+      done;
+      (* Clean tiny negatives from roundoff. *)
+      Array.iteri (fun i xi -> if xi < 0. && xi > -1e-9 then x.(i) <- 0.) x;
+      let objective = Lp.dot objective x in
+      assert (Lp.is_feasible ~tol:1e-6 ly.lp x);
+      let r, _ = reduced_costs t cost2 in
+      let duals = Array.map (fun (col, factor) -> factor *. r.(col)) ly.row_dual in
+      ((Certified { x; objective; duals }, Some (Array.sub t.basis 0 t.m)), k)
+
+let stats (t : tableau) ~pivots =
+  let row_nnz =
+    if t.n_pivots = 0 then 0. else float_of_int t.nnz_sum /. float_of_int t.n_pivots
+  in
+  { Revised.pivots; row_nnz; cells = t.cells }
+
+(* Phase 1 once: the tableau after phase 1, drive-out and compaction,
+   frozen as a snapshot. The tableau that ran phase 1 becomes the
+   first working tableau of the stash. *)
+type dense_prepared = {
+  ly : layout;
+  feasible : bool;
+  rows0 : Rows.snapshot;
+  b0 : float array;
+  basis0 : int array;
+  work : tableau Rows.stash;
+}
+
+let dense_prepare ly ~max_pivots =
+  let t = new_tableau ~rows:ly.m ~ncols:ly.ncols in
+  fill_initial ly t;
+  let pivots =
+    if ly.n_artificial = 0 then 0
+    else begin
+      let cost1 = Array.make ly.ncols 0. in
+      for j = ly.first_artificial to ly.ncols - 1 do
+        cost1.(j) <- 1.
+      done;
+      match optimize t cost1 ~allowed:(fun _ -> true) ~max_pivots with
+      | Phase_unbounded, _ -> assert false (* phase-1 objective bounded below by 0 *)
+      | Phase_optimal, k -> k
+    end
+  in
+  let phase1_value = ref 0. in
+  for i = 0 to t.m - 1 do
+    if t.basis.(i) >= ly.first_artificial then phase1_value := !phase1_value +. t.b.(i)
+  done;
+  let feasible = ly.n_artificial = 0 || !phase1_value <= 1e-7 in
+  if feasible then drive_out_and_compact ly t;
+  let p =
+    {
+      ly;
+      feasible;
+      rows0 = Rows.snapshot t.a ~n_rows:t.m ~ncols:ly.ncols;
+      b0 = Array.sub t.b 0 t.m;
+      basis0 = Array.sub t.basis 0 t.m;
+      work = Rows.stash ();
+    }
+  in
+  let s = stats t ~pivots in
+  Rows.give p.work t;
+  (p, s)
+
+let dense_solve_prepared p ~objective ~max_pivots =
+  if not p.feasible then ((C_infeasible, None), { Revised.pivots = 0; row_nnz = 0.; cells = 0 })
+  else begin
+    let rows = Array.length p.b0 in
+    let t =
+      match Rows.take p.work with
+      | Some t -> t
+      | None -> new_tableau ~rows ~ncols:p.ly.ncols
+    in
+    Rows.restore p.rows0 t.a;
+    t.m <- rows;
+    Array.blit p.b0 0 t.b 0 rows;
+    Array.blit p.basis0 0 t.basis 0 rows;
+    t.nnz_sum <- 0;
+    t.n_pivots <- 0;
+    t.cells <- rows * p.ly.ncols;
+    let result, k = phase2 p.ly t ~objective ~max_pivots in
+    let s = stats t ~pivots:k in
+    Rows.give p.work t;
+    (result, s)
   end
 
+let dense_solve_crashed ly ~warm ~objective ~max_pivots =
+  let t = new_tableau ~rows:ly.m ~ncols:ly.ncols in
+  fill_initial ly t;
+  match try_crash_basis t ~first_artificial:ly.first_artificial warm with
+  | None -> None
+  | Some crash_pivots ->
+      drive_out_and_compact ly t;
+      let result, k = phase2 ly t ~objective ~max_pivots in
+      Some (result, stats t ~pivots:(crash_pivots + k))
+
+(* ------------------------------------------------------------------ *)
+(* Path-independent front                                              *)
+(* ------------------------------------------------------------------ *)
+
+type body = Dense_p of dense_prepared | Revised_p of Revised.prepared
+
+type prepared = {
+  p_path : path;
+  p_rows : int;
+  p_vars : int;
+  body : body;
+}
+
+let counter name help = Obs.Metrics.counter ~help (Obs.Metrics.current ()) name
+
+(* Per-span accounting: pivots and cell updates into the counters,
+   pivots and pivot-row density onto the open [simplex] span. *)
+let account { Revised.pivots; row_nnz; cells } =
+  Obs.Metrics.add
+    (counter "qp_simplex_pivots_total" "Simplex pivots across both phases")
+    (float_of_int pivots);
+  Obs.Metrics.add
+    (counter "qp_simplex_cell_updates_total"
+       "Simplex tableau/basis-inverse cells written, see Simplex.mli")
+    (float_of_int cells);
+  Obs.Span.add_attr "pivots" (Obs.Json.Int pivots);
+  Obs.Span.add_attr "row_nnz" (Obs.Json.Float row_nnz)
+
+let path_name = function Dense -> "dense" | Revised -> "revised"
+
+let default_max_pivots ~rows ~vars = 50_000 + (50 * (rows + vars))
+
+let simplex_span ~phase ?(extra = []) ~rows ~vars path f =
+  Obs.Span.with_ "simplex"
+    ~attrs:
+      ([ ("phase", Obs.Json.Int phase); ("vars", Obs.Json.Int vars); ("rows", Obs.Json.Int rows);
+         ("path", Obs.Json.String (path_name path)) ]
+      @ extra)
+    f
+
+let prepare ?max_pivots ?(shared_by = 1) lp =
+  check_deadline ();
+  let rows = Lp.n_constraints lp and vars = Lp.n_vars lp in
+  let max_pivots =
+    match max_pivots with Some v -> v | None -> default_max_pivots ~rows ~vars
+  in
+  let ly = layout lp in
+  let path = choose_path ~m:ly.m ~ncols:ly.ncols in
+  Atomic.set last_path_v path;
+  simplex_span ~phase:1 ~extra:[ ("shared_by", Obs.Json.Int shared_by) ] ~rows ~vars path
+  @@ fun () ->
+  let body, s =
+    match path with
+    | Dense ->
+        let p, s = dense_prepare ly ~max_pivots in
+        (Dense_p p, s)
+    | Revised ->
+        let p, s = Revised.prepare ~max_pivots (Revised.problem lp) in
+        (Revised_p p, s)
+  in
+  account s;
+  { p_path = path; p_rows = rows; p_vars = vars; body }
+
+let of_revised (r, s) =
+  let out =
+    match r with
+    | Revised.R_infeasible -> (C_infeasible, None)
+    | Revised.R_unbounded -> (C_unbounded, None)
+    | Revised.R_optimal { x; objective; duals; basis } ->
+        (Certified { x; objective; duals }, Some basis)
+  in
+  (out, s)
+
+let warm_attempts () = counter "qp_simplex_warm_attempts_total" "Simplex warm-start attempts"
+
+let warm_used () =
+  counter "qp_simplex_warm_used_total" "Simplex solves where the crash basis skipped phase 1"
+
+(* One candidate LP: the phase-2 span, counted as one solve. *)
+let solve_span ~rows ~vars path f =
+  Obs.Metrics.inc (counter "qp_simplex_solves_total" "Two-phase simplex invocations");
+  ignore (warm_attempts ());
+  ignore (warm_used ());
+  simplex_span ~phase:2 ~rows ~vars path (fun () ->
+      let out, stats = f () in
+      account stats;
+      out)
+
+let phase2_prepared p ~objective ~max_pivots =
+  match p.body with
+  | Dense_p d -> dense_solve_prepared d ~objective ~max_pivots
+  | Revised_p r -> of_revised (Revised.solve_prepared ~max_pivots r ~objective)
+
+let solve_prepared ?max_pivots p ~objective =
+  check_deadline ();
+  if Array.length objective <> p.p_vars then
+    invalid_arg "Simplex.solve_prepared: objective length <> number of variables";
+  let max_pivots =
+    match max_pivots with
+    | Some v -> v
+    | None -> default_max_pivots ~rows:p.p_rows ~vars:p.p_vars
+  in
+  Atomic.set last_path_v p.p_path;
+  solve_span ~rows:p.p_rows ~vars:p.p_vars p.p_path @@ fun () ->
+  phase2_prepared p ~objective ~max_pivots
+
+(* A warm start crashes the stored basis into a fresh starting
+   tableau; only when that start is infeasible does the solve pay for
+   its own phase 1 (prepared inside this span) and run phase 2 from
+   the prepared state. *)
+let solve_warm_certified ?max_pivots ?warm lp =
+  match warm with
+  | None | Some [||] ->
+      let p = prepare ?max_pivots lp in
+      solve_prepared ?max_pivots p ~objective:(Lp.objective lp)
+  | Some wb ->
+      check_deadline ();
+      let rows = Lp.n_constraints lp and vars = Lp.n_vars lp in
+      let max_pivots =
+        match max_pivots with Some v -> v | None -> default_max_pivots ~rows ~vars
+      in
+      let objective = Lp.objective lp in
+      let ly = layout lp in
+      let path = choose_path ~m:ly.m ~ncols:ly.ncols in
+      Atomic.set last_path_v path;
+      solve_span ~rows ~vars path @@ fun () ->
+      Obs.Metrics.inc (warm_attempts ());
+      let crashed =
+        match path with
+        | Dense -> dense_solve_crashed ly ~warm:wb ~objective ~max_pivots
+        | Revised ->
+            Option.map of_revised
+              (Revised.solve_crashed ~max_pivots ~warm:wb (Revised.problem lp) ~objective)
+      in
+      match crashed with
+      | Some r ->
+          Obs.Metrics.inc (warm_used ());
+          r
+      | None -> phase2_prepared (prepare ~max_pivots lp) ~objective ~max_pivots
+
+let solve_certified ?max_pivots lp = fst (solve_warm_certified ?max_pivots lp)
+
 let solve ?max_pivots lp =
-  match fst (solve_internal ?max_pivots lp) with
+  match solve_certified ?max_pivots lp with
   | C_infeasible -> Infeasible
   | C_unbounded -> Unbounded
   | Certified { x; objective; _ } -> Optimal { x; objective }
 
-let solve_certified ?max_pivots lp = fst (solve_internal ?max_pivots lp)
-
 let solve_warm ?max_pivots ?warm lp =
-  match solve_internal ?max_pivots ?warm lp with
+  match solve_warm_certified ?max_pivots ?warm lp with
   | C_infeasible, _ -> (Infeasible, None)
   | C_unbounded, _ -> (Unbounded, None)
   | Certified { x; objective; _ }, basis -> (Optimal { x; objective }, basis)

@@ -22,21 +22,28 @@ let ordering (s : Problem.ssqpp) =
   let dist = Array.map (fun v -> Metric.dist s.Problem.metric s.Problem.v0 v) node_of_rank in
   (rank_of_node, node_of_rank, dist)
 
-let build (s : Problem.ssqpp) =
-  let _, node_of_rank, dist = ordering s in
-  let n = Array.length node_of_rank in
-  let nu = Quorum.universe s.Problem.system in
-  let nq = Quorum.n_quorums s.Problem.system in
+let sizes (s : Problem.ssqpp) =
+  ( Metric.size s.Problem.metric,
+    Quorum.universe s.Problem.system,
+    Quorum.n_quorums s.Problem.system )
+
+let numbering s =
+  let n, nu, nq = sizes s in
+  ((fun t u -> (t * nu) + u), fun t q -> (n * nu) + (t * nq) + q)
+
+let capacity_by_rank (s : Problem.ssqpp) =
+  let _, node_of_rank, _ = ordering s in
+  Array.map (fun v -> s.Problem.capacities.(v)) node_of_rank
+
+(* Rows (10)-(14) read the source only through the capacities in rank
+   order. *)
+let rows (s : Problem.ssqpp) =
+  let n, nu, _ = sizes s in
+  let caps = capacity_by_rank s in
   let loads = Strategy.loads s.Problem.system s.Problem.strategy in
-  let var_elem t u = (t * nu) + u in
-  let var_quorum t q = (n * nu) + (t * nq) + q in
+  let var_elem, var_quorum = numbering s in
+  let nq = Quorum.n_quorums s.Problem.system in
   let lp = Lp.create ((n * nu) + (n * nq)) in
-  (* Objective (9). *)
-  for t = 0 to n - 1 do
-    for q = 0 to nq - 1 do
-      Lp.set_objective lp (var_quorum t q) (s.Problem.strategy.(q) *. dist.(t))
-    done
-  done;
   (* (10) each element placed once. *)
   for u = 0 to nu - 1 do
     Lp.add_constraint lp (List.init n (fun t -> (var_elem t u, 1.))) Lp.Eq 1.
@@ -47,7 +54,7 @@ let build (s : Problem.ssqpp) =
   done;
   (* (12) capacity per node and (13) oversize pinning. *)
   for t = 0 to n - 1 do
-    let cap = s.Problem.capacities.(node_of_rank.(t)) in
+    let cap = caps.(t) in
     let terms = ref [] in
     for u = 0 to nu - 1 do
       if loads.(u) > cap +. 1e-12 then
@@ -72,25 +79,73 @@ let build (s : Problem.ssqpp) =
           done)
         quorum)
     (Quorum.quorums s.Problem.system);
+  lp
+
+(* Objective (9): the only part of the LP that depends on the source
+   beyond the capacity order. *)
+let objective (s : Problem.ssqpp) =
+  let n, nu, nq = sizes s in
+  let _, _, dist = ordering s in
+  let _, var_quorum = numbering s in
+  let c = Array.make ((n * nu) + (n * nq)) 0. in
+  for t = 0 to n - 1 do
+    for q = 0 to nq - 1 do
+      c.(var_quorum t q) <- s.Problem.strategy.(q) *. dist.(t)
+    done
+  done;
+  c
+
+let build (s : Problem.ssqpp) =
+  let lp = rows s in
+  Array.iteri (Lp.set_objective lp) (objective s);
+  let var_elem, var_quorum = numbering s in
   (lp, var_elem, var_quorum)
 
-let solve_warm ?max_pivots ?warm (s : Problem.ssqpp) =
+type prepared = { caps : float array; simplex : Simplex.prepared }
+
+(* Runs in its own [lp_solve] span, so the row build of a shared
+   phase 1 counts as LP build time like a per-source one. *)
+let prepare ?max_pivots ?(shared_by = 1) (s : Problem.ssqpp) =
+  let n, nu, nq = sizes s in
+  Obs.Span.with_ "lp_solve"
+    ~attrs:
+      [ ("shared_by", Obs.Json.Int shared_by); ("n", Obs.Json.Int n);
+        ("universe", Obs.Json.Int nu); ("quorums", Obs.Json.Int nq) ]
+  @@ fun () ->
+  { caps = capacity_by_rank s; simplex = Simplex.prepare ?max_pivots ~shared_by (rows s) }
+
+let same_rows a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let solve_warm ?max_pivots ?warm ?prepared (s : Problem.ssqpp) =
   let rank_of_node, node_of_rank, dist = ordering s in
-  let n = Array.length node_of_rank in
-  let nu = Quorum.universe s.Problem.system in
-  let nq = Quorum.n_quorums s.Problem.system in
+  let n, nu, nq = sizes s in
   Obs.Span.with_ "lp_solve"
     ~attrs:
       [ ("v0", Obs.Json.Int s.Problem.v0); ("n", Obs.Json.Int n);
         ("universe", Obs.Json.Int nu); ("quorums", Obs.Json.Int nq) ]
   @@ fun () ->
-  let lp, var_elem, var_quorum = build s in
-  match Simplex.solve_warm ?max_pivots ?warm lp with
-  | Simplex.Infeasible, _ ->
+  let var_elem, var_quorum = numbering s in
+  let outcome, basis =
+    match prepared with
+    | Some p ->
+        if not (same_rows p.caps (capacity_by_rank s)) then
+          invalid_arg "Lp_formulation.solve_warm: prepared for other capacities";
+        (match Simplex.solve_prepared ?max_pivots p.simplex ~objective:(objective s) with
+        | Simplex.Certified { x; objective; _ }, basis -> (Simplex.Optimal { x; objective }, basis)
+        | Simplex.C_infeasible, _ -> (Simplex.Infeasible, None)
+        | Simplex.C_unbounded, _ -> (Simplex.Unbounded, None))
+    | None ->
+        let lp, _, _ = build s in
+        Simplex.solve_warm ?max_pivots ?warm lp
+  in
+  match outcome with
+  | Simplex.Infeasible ->
       Obs.Span.add_attr "infeasible" (Obs.Json.Bool true);
       (None, None)
-  | Simplex.Unbounded, _ -> assert false (* objective is non-negative *)
-  | Simplex.Optimal { x; objective }, basis ->
+  | Simplex.Unbounded -> assert false (* objective is non-negative *)
+  | Simplex.Optimal { x; objective } ->
       Obs.Span.add_attr "z_star" (Obs.Json.Float objective);
       let clip v = if v < 1e-11 then 0. else if v > 1. then 1. else v in
       let x_elem =

@@ -17,14 +17,44 @@ type result = {
   approx_bound : float;
 }
 
+(* Sources whose LPs have the same rows: (10)-(14) depend on the
+   source only through the capacities in rank order, so candidates are
+   grouped by that vector (compared bit for bit), numbered in order of
+   first appearance. Returns each candidate's group, and each group's
+   first source and size. *)
+let group_by_rows (p : Problem.qpp) candidates =
+  let ids = Hashtbl.create 8 in
+  let firsts = ref [] in
+  let group_of =
+    Array.map
+      (fun v0 ->
+        let key =
+          Array.map Int64.bits_of_float
+            (Lp_formulation.capacity_by_rank (Problem.ssqpp_of_qpp p v0))
+        in
+        match Hashtbl.find_opt ids key with
+        | Some g -> g
+        | None ->
+            let g = Hashtbl.length ids in
+            Hashtbl.add ids key g;
+            firsts := v0 :: !firsts;
+            g)
+      candidates
+  in
+  let firsts = Array.of_list (List.rev !firsts) in
+  let sizes = Array.make (Array.length firsts) 0 in
+  Array.iter (fun g -> sizes.(g) <- sizes.(g) + 1) group_of;
+  (group_of, firsts, sizes)
+
 (* Core driver shared by [solve] and [Resolve.solve]: [round] runs the
    Theorem 3.7 stage for one candidate source and may thread a simplex
-   basis through (warm re-solve); everything else — the parallel
-   candidate fan-out, the sequential winner/lower-bound folds, the
-   quality gauges — is byte-identical between the cold and warm paths,
-   so both choose the same placement given the same roundings. Also
-   returns the per-candidate bases for the caller to stash. *)
-let solve_with ~alpha ?candidates ~round (p : Problem.qpp) =
+   basis through (warm re-solve); everything else — the shared phase
+   1, the parallel candidate fan-out, the sequential winner/lower-bound
+   folds, the quality gauges — is byte-identical between the cold and
+   warm paths, so both choose the same placement given the same
+   roundings. Also returns the per-candidate bases for the caller to
+   stash. *)
+let solve_with ~alpha ?max_pivots ?candidates ~round (p : Problem.qpp) =
   if alpha <= 1. then invalid_arg "Qpp_solver.solve: alpha > 1 required";
   let n = Problem.n_nodes p in
   let candidates, complete =
@@ -41,8 +71,24 @@ let solve_with ~alpha ?candidates ~round (p : Problem.qpp) =
       [ ("alpha", Obs.Json.Float alpha); ("n", Obs.Json.Int n);
         ("candidates", Obs.Json.Int (List.length candidates)) ]
   @@ fun () ->
-  (* Candidate sources are independent: fan the LP + rounding + delay
-     evaluation of each out over the default domain pool. The
+  let candidates = Array.of_list candidates in
+  (* Phase 1 once per group of two or more sources, here on the calling
+     domain before the fan-out, so its pivots are counted once whatever
+     the worker count. A group of one shares nothing: its source runs
+     its own phase 1 inside the fan-out (or skips it by a warm crash). *)
+  let group_of, firsts, sizes = group_by_rows p candidates in
+  let prepared =
+    Array.mapi
+      (fun g k ->
+        if k < 2 then None
+        else
+          Some
+            (Lp_formulation.prepare ?max_pivots ~shared_by:k
+               (Problem.ssqpp_of_qpp p firsts.(g))))
+      sizes
+  in
+  (* Candidate sources are independent: fan phase 2, rounding and
+     delay evaluation of each out over the default domain pool. The
      winner/lower-bound folds below run sequentially in candidate
      order with exactly the sequential path's comparisons, so the
      chosen placement and certified bound are identical for any worker
@@ -50,9 +96,9 @@ let solve_with ~alpha ?candidates ~round (p : Problem.qpp) =
      merged back in candidate order by the pool). *)
   let evaluations =
     Qp_par.Pool.parallel_map (Qp_par.Pool.default ())
-      (fun v0 ->
+      (fun (v0, g) ->
         Obs.Span.with_ "candidate" ~attrs:[ ("v0", Obs.Json.Int v0) ] @@ fun () ->
-        match round ~v0 (Problem.ssqpp_of_qpp p v0) with
+        match round ~v0 ~prepared:prepared.(g) (Problem.ssqpp_of_qpp p v0) with
         | None ->
             Log.debug (fun m -> m "candidate v0=%d: LP infeasible" v0);
             (v0, None, None)
@@ -77,7 +123,7 @@ let solve_with ~alpha ?candidates ~round (p : Problem.qpp) =
             in
             let term = (avg_dist +. r.Rounding.z_star) /. Relay.bound in
             (v0, Some (objective, term, r), basis))
-      (Array.of_list candidates)
+      (Array.mapi (fun i v0 -> (v0, group_of.(i))) candidates)
   in
   let bases =
     Array.to_list evaluations
@@ -142,5 +188,5 @@ let solve_with ~alpha ?candidates ~round (p : Problem.qpp) =
 
 let solve ?(alpha = 2.) ?max_pivots ?candidates (p : Problem.qpp) =
   fst
-    (solve_with ~alpha ?candidates p ~round:(fun ~v0:_ s ->
-         Rounding.solve_warm ~alpha ?max_pivots s))
+    (solve_with ~alpha ?max_pivots ?candidates p ~round:(fun ~v0:_ ~prepared s ->
+         Rounding.solve_warm ~alpha ?max_pivots ?prepared s))

@@ -39,16 +39,22 @@ val solve :
 
 val solve_with :
   alpha:float ->
+  ?max_pivots:int ->
   ?candidates:int list ->
   round:
     (v0:int ->
+    prepared:Lp_formulation.prepared option ->
     Problem.ssqpp ->
     (Rounding.result * Qp_lp.Simplex.basis option) option) ->
   Problem.qpp ->
   result option * (int * Qp_lp.Simplex.basis) list
 (** The candidate fan-out and winner fold with a pluggable Theorem 3.7
     stage — the hook {!Resolve} uses to thread per-source simplex bases
-    through repeated solves. Also returns the final basis of every
-    candidate whose LP was feasible, keyed by source. The fold is
-    identical to {!solve}'s, so given the same roundings both paths
-    pick the same placement. *)
+    through repeated solves. Candidates are grouped by
+    {!Lp_formulation.capacity_by_rank}; for every group of two or more,
+    phase 1 of the shared rows runs once ({!Lp_formulation.prepare},
+    bounded by [max_pivots]) on the calling domain before the fan-out,
+    and [round] receives it as [prepared] ([None] for a group of one).
+    Also returns the final basis of every candidate whose LP was
+    feasible, keyed by source. The fold is identical to {!solve}'s, so
+    given the same roundings both paths pick the same placement. *)

@@ -19,13 +19,16 @@ let reset t = Hashtbl.reset t.bases
 
 let solve t (p : Problem.qpp) =
   t.solves <- t.solves + 1;
-  let round ~v0 s =
-    Rounding.solve_warm ~alpha:t.alpha ?max_pivots:t.max_pivots
-      ?warm:(Hashtbl.find_opt t.bases v0)
-      s
+  (* A crash costs about as many pivots as the phase 1 it skips, so a
+     stored basis only pays for a source whose phase 1 is not shared;
+     a source with a shared phase 1 runs phase 2 from it. *)
+  let round ~v0 ~prepared s =
+    let warm = if Option.is_none prepared then Hashtbl.find_opt t.bases v0 else None in
+    Rounding.solve_warm ~alpha:t.alpha ?max_pivots:t.max_pivots ?warm ?prepared s
   in
   let result, bases =
-    Qpp_solver.solve_with ~alpha:t.alpha ?candidates:t.candidates ~round p
+    Qpp_solver.solve_with ~alpha:t.alpha ?max_pivots:t.max_pivots ?candidates:t.candidates
+      ~round p
   in
   (* The pool merged worker results in candidate order; commit the new
      bases sequentially so the store stays single-writer. A candidate

@@ -5,9 +5,13 @@
     keeps, per candidate source, the final simplex basis of the last
     solve and crash-starts the next one from it
     ({!Qp_lp.Simplex.solve_warm}); when the delta is small the LP
-    re-solves in far fewer pivots, and when it is not the solver
+    re-solves without its phase 1, and when it is not the solver
     falls back to the cold path per candidate, so {!solve} always
-    returns the same answer {!Qpp_solver.solve} would. *)
+    returns the same answer {!Qpp_solver.solve} would. A crash costs
+    about as many pivots as the phase 1 it skips, so sources that
+    share their phase 1 with others ({!Qpp_solver.solve_with}) run
+    phase 2 from the shared state instead; their bases are still
+    stored. *)
 
 type t
 

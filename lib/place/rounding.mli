@@ -28,12 +28,15 @@ val solve_warm :
   ?alpha:float ->
   ?max_pivots:int ->
   ?warm:Qp_lp.Simplex.basis ->
+  ?prepared:Lp_formulation.prepared ->
   Problem.ssqpp ->
   (result * Qp_lp.Simplex.basis option) option
-(** Like {!solve}, threading a simplex basis through the LP stage
-    ({!Lp_formulation.solve_warm}) so a re-solve after a small instance
-    delta can crash-start from the previous optimum. The rounding
-    stage is unchanged; only pivot counts differ from {!solve}. *)
+(** Like {!solve}, with the LP stage's start options
+    ({!Lp_formulation.solve_warm}): a shared phase-1 state
+    ([prepared]), or a simplex basis from a previous solve so a
+    re-solve after a small instance delta can crash-start from the
+    previous optimum. The rounding stage is unchanged; only pivot
+    counts differ from {!solve}. *)
 
 val round_filtered : Problem.ssqpp -> Filtering.filtered -> result
 (** The rounding stage alone, for tests that want to inject a

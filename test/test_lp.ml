@@ -362,7 +362,8 @@ let prop_certificates_verify =
 (* The [simplex] span reports the mean pivot-row density next to its
    pivot count. One row [x0 + x1 >= 1] (min x0 + 2 x1) takes a single
    phase-1 pivot on x0: the dense tableau row [1 1 -1 1] has 4
-   nonzeros, the revised path's 1 x 1 B⁻¹ row has 1. *)
+   nonzeros, the revised path's 1 x 1 B⁻¹ row has 1. A solve opens
+   one span per phase; phase 2 starts optimal and pivots nothing. *)
 let test_span_row_nnz () =
   let module Json = Qp_obs.Json in
   let simplex_attrs path =
@@ -380,22 +381,31 @@ let test_span_row_nnz () =
         Simplex.set_forced_path (Some path);
         ignore (solve_opt lp));
     match
-      List.filter (fun r -> Json.member "name" r = Some (Json.String "simplex")) (read ())
+      List.filter_map
+        (fun r ->
+          if Json.member "name" r = Some (Json.String "simplex") then Json.member "attrs" r
+          else None)
+        (read ())
     with
-    | [ span ] -> Option.get (Json.member "attrs" span)
-    | l -> Alcotest.failf "expected one simplex span, got %d" (List.length l)
+    | [ phase1; phase2 ] -> (phase1, phase2)
+    | l -> Alcotest.failf "expected two simplex spans, got %d" (List.length l)
   in
   let num key attrs =
     match Option.bind (Json.member key attrs) Json.to_float with
     | Some v -> v
     | None -> Alcotest.failf "missing %s in %s" key (Json.to_string attrs)
   in
-  let dense = simplex_attrs Simplex.Dense in
-  Alcotest.(check (float 0.)) "dense pivots" 1. (num "pivots" dense);
-  Alcotest.(check (float 0.)) "dense row_nnz" 4. (num "row_nnz" dense);
-  let revised = simplex_attrs Simplex.Revised in
-  Alcotest.(check (float 0.)) "revised pivots" 1. (num "pivots" revised);
-  Alcotest.(check (float 0.)) "revised row_nnz" 1. (num "row_nnz" revised)
+  let check path ~row_nnz =
+    let name = match path with Simplex.Dense -> "dense" | Simplex.Revised -> "revised" in
+    let phase1, phase2 = simplex_attrs path in
+    Alcotest.(check (float 0.)) (name ^ " phase 1") 1. (num "phase" phase1);
+    Alcotest.(check (float 0.)) (name ^ " pivots") 1. (num "pivots" phase1);
+    Alcotest.(check (float 0.)) (name ^ " row_nnz") row_nnz (num "row_nnz" phase1);
+    Alcotest.(check (float 0.)) (name ^ " phase 2") 2. (num "phase" phase2);
+    Alcotest.(check (float 0.)) (name ^ " phase-2 pivots") 0. (num "pivots" phase2)
+  in
+  check Simplex.Dense ~row_nnz:4.;
+  check Simplex.Revised ~row_nnz:1.
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
